@@ -1,10 +1,10 @@
 """Ablation — exact solvers for the reduced transportation problem.
 
-The Theorem 4 pipeline can hand the reduced min-cost-flow instance to three
-exact solvers: successive shortest paths (default), Goldberg–Tarjan cost
-scaling (the paper's CS2 role), or a dense LP (HiGHS). All must agree on
-the value; the interesting output is the time-vs-n∆ crossover (pure-Python
-SSP wins small instances, HiGHS wins large ones).
+The Theorem 4 pipeline can hand the reduced problem to four exact
+solvers: successive shortest paths (default), Goldberg–Tarjan cost
+scaling (the paper's CS2 role), a dense LP (HiGHS), or the sparse network
+simplex that ``solver="auto"`` runs. All must agree on the value; the
+interesting output is how each solver's time grows with n∆.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from common import experiment_snd, print_table, record
 from repro.datasets.synthetic import giant_component_powerlaw
 from repro.opinions.dynamics import random_transition, seed_state
 
-SOLVERS = ["ssp", "cost-scaling", "lp"]
+SOLVERS = ["ssp", "cost-scaling", "lp", "network-simplex"]
 
 
 def run_experiment(verbose: bool = True) -> dict:

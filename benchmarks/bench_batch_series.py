@@ -10,8 +10,8 @@ n = 2000 power-law graph, 100 seed users) through six evaluators:
   vectorised kernel is measured against;
 * ``cached`` — ``SND.evaluate_series`` serial with the default vectorised
   SSP kernel (heap-free CSR Dijkstra);
-* ``cached_auto`` — the cached engine with ``solver="auto"``: per reduced
-  instance the policy picks simplex / vectorised ssp / HiGHS lp by size
+* ``cached_auto`` — the cached engine with ``solver="auto"``: every
+  reduced instance below the hybrid threshold runs the network simplex
   (see :func:`repro.flow.select_transport_method`);
 * ``parallel`` — ``evaluate_series(jobs=N)``: process fan-out over
   contiguous transition chunks (wall-clock gains require > 1 CPU; the

@@ -5,7 +5,7 @@ and a political-event log, distinguishing *consensus* events (election, bin
 Laden — all measures react) from *polarizing* events (Stimulus Bill, ACA —
 SND disagrees upward while coordinate-wise measures stay flat). Real tweets
 are unavailable; the simulated dataset injects both event types with ground
-truth (see DESIGN.md §2), and this harness checks the measure-vs-event-type
+truth (see docs/design.md §2), and this harness checks the measure-vs-event-type
 reaction pattern.
 """
 

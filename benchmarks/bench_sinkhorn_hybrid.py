@@ -5,8 +5,7 @@ Instances are SND-style reduced transportation problems (Theorem 4):
 supplier/consumer bins are changed-user sets sampled from a powerlaw
 configuration graph, costs are shortest-path distances between them, at
 side lengths 10x-100x beyond the reduced instances the exact tiers see in
-the tier-1 suites (their ``auto`` territory tops out at 2 048 cells; the
-largest instance here is 640 000).
+the tier-1 suites (the largest instance here is 640 000 cells).
 
 Two measurements per scale:
 

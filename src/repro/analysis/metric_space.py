@@ -1,7 +1,7 @@
 """Metric-space applications of SND — the paper's §9 future work.
 
 Because SND (with size-proportional bank shares and nearest-member bank
-distances, see DESIGN.md) is a metric, network states live in a metric
+distances, see docs/design.md §1) is a metric, network states live in a metric
 space and the standard distance-based machinery applies. This module
 implements the three applications §9 names:
 

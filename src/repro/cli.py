@@ -362,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument(
         "name",
         choices=["fig5", "fig7", "fig8", "fig10", "table1"],
-        help="experiment id from DESIGN.md",
+        help="experiment id (see docs/design.md §5)",
     )
     exp.add_argument("--seed", type=int, default=0)
     return parser

@@ -16,7 +16,7 @@ experiment consumes:
   propagation-aware measures should spike);
 * a Google-Trends-like "search interest" series spiking at the events.
 
-See DESIGN.md §2 for why this substitution preserves the experiment's
+See docs/design.md §2 for why this substitution preserves the experiment's
 discriminative structure.
 """
 

@@ -47,7 +47,8 @@ def emd(
     costs:
         ``(n, m)`` non-negative ground-distance matrix.
     method:
-        Transportation solver: ``"ssp"`` (default), ``"simplex"``, ``"lp"``.
+        Transportation solver: ``"ssp"`` (default), ``"network-simplex"``,
+        ``"lp"``.
     return_plan:
         Also return the optimal :class:`TransportPlan`.
 

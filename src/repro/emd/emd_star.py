@@ -15,7 +15,7 @@ by the mismatch, which contradicts the stated requirements (proportionality
 + mass evening). We implement the stated intent:
 ``P^(i) = (cluster_mass / total_mass) · Δ`` split uniformly over the
 cluster's banks, falling back to size-proportional allocation when the
-lighter histogram is empty (see DESIGN.md).
+lighter histogram is empty (see docs/design.md §1).
 """
 
 from __future__ import annotations
@@ -141,7 +141,7 @@ def _bank_capacities(
     proportional to the cluster's mass in the lighter histogram; size
     fallback when it is empty). ``"size"`` uses the fixed size-proportional
     profile, which is partner-independent and therefore provably metric
-    (see the module docstring / DESIGN.md).
+    (see the module docstring / docs/design.md §1).
     """
     nc = len(clusters)
     caps = np.zeros(nc * n_banks)
@@ -201,7 +201,7 @@ def build_extension(
           Eq. 4: it keeps the extended ground distance a semimetric through
           original bins (the cluster-level variant can violate the triangle
           inequality across clusters, a gap in the Thm. 3/Lemma 2 proofs;
-          see DESIGN.md), which is what makes the Theorem 4 reduction exact.
+          see docs/design.md §1), which is what makes the Theorem 4 reduction exact.
         * ``"cluster"`` — the literal Eq. 4:
           ``γ + d[cluster(bin), cluster(bank)]``.
     bank_shares:

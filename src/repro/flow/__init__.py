@@ -4,16 +4,16 @@ The EMD family reduces to transportation problems; the fast SND pipeline
 reduces to a sparse min-cost-flow instance. Four interchangeable exact
 solvers are provided:
 
+* :func:`solve_transportation_network_simplex` — sparse network simplex
+  with a warm-startable spanning-tree basis (block pivoting, strongly
+  feasible anti-cycling); the exact tier ``method="auto"`` runs, and the
+  one that exploits temporal locality across nearly identical instances
+  (sliding windows, corpus appends);
 * :func:`solve_mcf_ssp` — successive shortest paths with potentials
   (default; exact for real-valued supplies/costs; heap-free vectorised
   Dijkstra kernel for dense reduced problems, heap kernel for sparse ones);
 * :func:`solve_mcf_cost_scaling` — Goldberg–Tarjan cost-scaling
   push-relabel (integer costs; the paper's CS2 role);
-* :func:`solve_transportation_simplex` — dense MODI transportation simplex;
-* :func:`solve_transportation_network_simplex` — sparse network simplex
-  with a warm-startable spanning-tree basis (block pivoting, strongly
-  feasible anti-cycling); the solver tier that exploits temporal locality
-  across nearly identical instances (sliding windows, corpus appends);
 * :func:`solve_transportation_lp` — :func:`scipy.optimize.linprog` reference
   (the paper's CPLEX role in Fig. 11).
 
@@ -23,11 +23,11 @@ property-tested in ``tests/flow/test_solver_equivalence.py``. One
 :func:`solve_transportation_sinkhorn_hybrid` (``"sinkhorn-hybrid"``) — a
 Sinkhorn screen identifies a sparse support, then an exact solver runs on
 that support; its relative error is certified per solve and
-property-tested under tolerance tiers. ``method="auto"`` picks the fastest
-exact solver for an instance's size (:func:`select_transport_method`) and
-routes to the hybrid above :data:`AUTO_HYBRID_CELLS` cells, where exact
-dense solves stop being viable; the thresholds are documented with
-measurements in ``benchmarks/README.md`` and ``docs/solvers.md``.
+property-tested under tolerance tiers. ``method="auto"``
+(:func:`select_transport_method`) runs network simplex up to
+:data:`AUTO_HYBRID_CELLS` cells and the hybrid above, where exact dense
+solves stop being viable; the measurements behind the policy are in
+``benchmarks/README.md`` and ``docs/solvers.md``.
 """
 
 from repro.exceptions import ValidationError
@@ -39,7 +39,6 @@ from repro.flow.problem import MinCostFlowProblem, TransportationProblem
 from repro.flow.sinkhorn import solve_transportation_sinkhorn
 from repro.flow.sinkhorn_hybrid import solve_transportation_sinkhorn_hybrid
 from repro.flow.ssp import select_mcf_kernel, solve_mcf_ssp, solve_transportation_ssp
-from repro.flow.transport_simplex import solve_transportation_simplex
 
 __all__ = [
     "TransportationProblem",
@@ -50,7 +49,6 @@ __all__ = [
     "solve_mcf_ssp",
     "solve_transportation_ssp",
     "solve_mcf_cost_scaling",
-    "solve_transportation_simplex",
     "solve_transportation_network_simplex",
     "solve_transportation_lp",
     "solve_transportation_sinkhorn",
@@ -58,18 +56,8 @@ __all__ = [
     "solve_transportation",
 ]
 
-#: ``method="auto"`` thresholds on the dense cell count ``n_sup * n_con``
-#: (measured on random integer-cost instances; see benchmarks/README.md).
-#: Below ``AUTO_SIMPLEX_CELLS`` the MODI simplex's tiny constant wins; up to
-#: ``AUTO_SSP_CELLS`` the vectorised SSP kernel is fastest; above that the
-#: HiGHS LP's C pivoting amortises its ~2 ms setup. Cost-scaling is exact
-#: but dominated by the vectorised SSP on every measured region, so the
-#: auto policy never selects it.
-AUTO_SIMPLEX_CELLS = 64
-AUTO_SSP_CELLS = 2048
-
-#: Above this cell count ``method="auto"`` switches from the exact dense
-#: solvers to the ``"sinkhorn-hybrid"`` approximation tier: the screened
+#: Above this cell count ``method="auto"`` switches from exact network
+#: simplex to the ``"sinkhorn-hybrid"`` approximation tier: the screened
 #: sparse exact solve beats the best exact dense solver by >= 5x at <= 1%
 #: certified relative error from roughly this size upward (measured on
 #: powerlaw-graph reduced instances — see benchmarks/README.md and
@@ -80,7 +68,6 @@ AUTO_HYBRID_CELLS = 160_000
 
 _TRANSPORT_SOLVERS = {
     "ssp": solve_transportation_ssp,
-    "simplex": solve_transportation_simplex,
     "network-simplex": solve_transportation_network_simplex,
     "lp": solve_transportation_lp,
     "sinkhorn-hybrid": solve_transportation_sinkhorn_hybrid,
@@ -92,45 +79,28 @@ def select_transport_method(
     n_consumers: int,
     *,
     hybrid_cells: int | None = AUTO_HYBRID_CELLS,
-    warm_basis: bool = False,
 ) -> str:
     """The ``method="auto"`` policy for dense transportation instances.
 
-    Returns ``"simplex"`` for tiny instances (``cells <= 64``), ``"ssp"``
-    for small-to-medium ones (``cells <= 2048``), ``"lp"`` beyond, and
-    ``"sinkhorn-hybrid"`` for large instances (``cells > hybrid_cells``) —
-    the crossovers measured in ``benchmarks/README.md``. The first three
-    are exact, so their choice only affects speed; the hybrid tier is
-    approximate (certified relative error, see
-    :mod:`repro.flow.sinkhorn_hybrid`) and is the only branch that trades
-    accuracy for scale. Pass ``hybrid_cells=None`` to keep the selection
-    fully exact, or another cell count to move the approximation
-    threshold.
-
-    With ``warm_basis=True`` the caller declares that a previous optimal
-    basis is available for this instance (temporal-locality workloads:
-    sliding windows, corpus appends). Warm hints only pay off inside the
-    basis-carrying backend, so every exact region above the tiny-instance
-    floor then routes to ``"network-simplex"``; instances past
-    ``hybrid_cells`` still escalate to the hybrid tier (whose restricted
-    exact solve consumes the basis itself).
+    Returns ``"network-simplex"`` up to *hybrid_cells* dense cells and
+    ``"sinkhorn-hybrid"`` beyond. Network simplex won or tied every exact
+    tier on the reduced instances the benchmark workloads solve
+    (``benchmarks/README.md``). The hybrid tier is approximate
+    (certified relative error, see :mod:`repro.flow.sinkhorn_hybrid`) and
+    is the only branch that trades accuracy for scale. Pass
+    ``hybrid_cells=None`` to keep the selection fully exact, or another
+    cell count to move the approximation threshold.
     """
     cells = max(0, int(n_suppliers)) * max(0, int(n_consumers))
-    if cells <= AUTO_SIMPLEX_CELLS:
-        return "simplex"
     if hybrid_cells is not None and cells > int(hybrid_cells):
         return "sinkhorn-hybrid"
-    if warm_basis:
-        return "network-simplex"
-    if cells <= AUTO_SSP_CELLS:
-        return "ssp"
-    return "lp"
+    return "network-simplex"
 
 
 def solve_transportation(problem: TransportationProblem, *, method: str = "ssp"):
     """Solve a (possibly unbalanced) transportation problem.
 
-    ``method`` is one of ``"ssp"`` (default), ``"simplex"``,
+    ``method`` is one of ``"ssp"`` (default),
     ``"network-simplex"`` (warm-startable sparse simplex — pass bases via
     :func:`solve_transportation_network_simplex` directly), ``"lp"``,
     ``"sinkhorn-hybrid"`` (approximate: Sinkhorn-screened sparse exact

@@ -1,20 +1,16 @@
 """Spanning-tree bases of transportation problems.
 
-Both dense simplex backends — the MODI solver
-(:mod:`repro.flow.transport_simplex`) and the sparse network simplex
-(:mod:`repro.flow.network_simplex`) — maintain a *basis*: a set of
+The sparse network simplex (:mod:`repro.flow.network_simplex`) and the
+hybrid tier's restricted exact solve maintain a *basis*: a set of
 ``n + m - 1`` cells whose bipartite graph (suppliers 0..n-1, consumers
 n..n+m-1) forms a spanning tree. This module holds the representation and
-the validation/repair helpers they share:
+its validation helper:
 
 * :class:`TransportBasis` — an immutable cell set, cheap to cache
   (``nbytes`` is exact, so :class:`repro.snd.cache.CacheManager` can
   budget it) and cheap to remap: entries may be *local indices* of one
   instance or *stable labels* (global node ids), which is how a basis
   survives the trip between two different reduced SND instances.
-* :func:`repair_basis` — complete a degenerate cell set into a spanning
-  tree (union-find over the bipartite nodes), shared by the
-  northwest-corner initialiser and the warm-start import path.
 * :func:`validate_basis` — spanning-tree check used by property tests.
 """
 
@@ -24,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["TransportBasis", "repair_basis", "validate_basis"]
+__all__ = ["TransportBasis", "validate_basis"]
 
 
 @dataclass(frozen=True)
@@ -76,39 +72,6 @@ class TransportBasis:
     def cells(self) -> list[tuple[int, int]]:
         """The cells as a plain list of ``(row, col)`` tuples."""
         return list(zip(self.rows.tolist(), self.cols.tolist()))
-
-
-def repair_basis(basis: set[tuple[int, int]], n: int, m: int) -> None:
-    """Complete *basis* in place into a spanning tree of ``n + m - 1`` cells.
-
-    Union-find over supplier nodes ``0..n-1`` and consumer nodes
-    ``n..n+m-1``; cells are added in row-major order until the bipartite
-    graph is connected. Existing cells that close cycles are left alone —
-    callers de-duplicate those before flow assignment.
-    """
-    parent = list(range(n + m))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a: int, b: int) -> bool:
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            return False
-        parent[ra] = rb
-        return True
-
-    for (i, j) in basis:
-        union(i, n + j)
-    for i in range(n):
-        for j in range(m):
-            if len(basis) >= n + m - 1:
-                return
-            if (i, j) not in basis and union(i, n + j):
-                basis.add((i, j))
 
 
 def validate_basis(cells, n: int, m: int) -> bool:

@@ -16,7 +16,7 @@ table, with the ε trick making impossible events merely very expensive):
 
 ``d_v({u})`` is evaluated edge-locally (the direct edge distance ``d_uv``),
 making the per-edge cost computable without all-pairs shortest paths; see
-DESIGN.md. ``p^a(v)`` sums activation probabilities over v's closest active
+docs/design.md §4. ``p^a(v)`` sums activation probabilities over v's closest active
 in-neighbors.
 """
 

@@ -83,6 +83,11 @@ DEFAULT_EXECUTOR_WORKERS = 16
 #: The one supported API version prefix.
 API_PREFIX = "/v1"
 
+#: Largest request body accepted (bytes). Every route takes index-based
+#: JSON, so legitimate bodies are tiny; anything larger is answered 413
+#: without being read.
+MAX_BODY_BYTES = 1 << 20
+
 _WATCH_END = object()
 
 
@@ -134,6 +139,7 @@ _ERROR_CODES = {
     400: "bad_request",
     404: "not_found",
     405: "method_not_allowed",
+    413: "payload_too_large",
     429: "client_quota_exceeded",
     500: "internal",
     503: "saturated",
@@ -162,11 +168,29 @@ class _HttpError(Exception):
         self.detail = detail
 
 
+def _content_length(headers: dict[str, str]) -> int:
+    """The request's ``Content-Length``, checked before any body is read:
+    400 unless it is a non-negative decimal integer, 413 above
+    :data:`MAX_BODY_BYTES`."""
+    raw = headers.get("content-length", "") or "0"
+    if not (raw.isascii() and raw.isdigit()):
+        raise _HttpError(400, f"invalid Content-Length {raw!r}")
+    length = int(raw)
+    if length > MAX_BODY_BYTES:
+        raise _HttpError(
+            413,
+            f"request body of {length} bytes exceeds the "
+            f"{MAX_BODY_BYTES}-byte limit",
+        )
+    return length
+
+
 _STATUS_TEXT = {
     200: "OK",
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
+    413: "Payload Too Large",
     429: "Too Many Requests",
     500: "Internal Server Error",
     503: "Service Unavailable",
@@ -264,6 +288,11 @@ class HttpServer:
                 status = 200
                 started = time.perf_counter()
                 try:
+                    if isinstance(body, _HttpError):
+                        # The body was not read, so the connection cannot
+                        # be re-framed: answer and close.
+                        keep_alive = False
+                        raise body
                     force_close = await self._dispatch(
                         method, route, headers, body, writer, keep_alive,
                         extra_headers,
@@ -359,7 +388,10 @@ class HttpServer:
             # Header *names* are case-insensitive; values keep their case
             # (X-Client carries an opaque identity string).
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", 0) or 0)
+        try:
+            length = _content_length(headers)
+        except _HttpError as exc:
+            return method, path, headers, exc
         body = await reader.readexactly(length) if length else b""
         return method, path, headers, body
 

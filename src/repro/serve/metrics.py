@@ -318,7 +318,8 @@ _SCHEDULER_COUNTERS = {
     "requested": "Pair requests received by the scheduler.",
     "cache_answered": "Requests answered from the transition cache before dispatch.",
     "coalesced": "Requests attached to an existing solve of the same pair.",
-    "solved": "Fresh pair solves dispatched.",
+    "solved": "Fresh pair solves that returned a value.",
+    "failed": "Fresh pair solves whose engine batch raised.",
     "batches": "Chunk submissions to the engine pool.",
     "rejected": "Admissions refused by global backpressure.",
     "client_rejected": "Admissions refused by a per-client fairness quota.",

@@ -95,7 +95,7 @@ def snd_direct(
     """SND via the direct dense pipeline (Eq. 3 without Theorem 4).
 
     *method* selects the transportation solver (``"lp"`` default — the
-    CPLEX stand-in; ``"ssp"``/``"simplex"`` for cross-validation).
+    CPLEX stand-in; ``"ssp"``/``"network-simplex"`` for cross-validation).
     """
     if state_a.n != graph.num_nodes or state_b.n != graph.num_nodes:
         raise StateError("states must cover the graph's user set")

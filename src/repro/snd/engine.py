@@ -73,9 +73,9 @@ __all__ = ["SNDEngine", "Corpus", "StreamUpdate", "resolve_jobs"]
 
 #: Solvers whose per-term solves can consume a warm spanning-tree basis.
 #: ``use_basis_cache="auto"`` activates the basis store for the pure
-#: network-simplex solver and for ``solver="auto"`` (whose basis-aware
-#: selection routes instances holding a cached basis to the network
-#: simplex — value-neutral by the warm-exactness contract either way);
+#: network-simplex solver and for ``solver="auto"`` (which runs the
+#: network simplex on every exact-sized instance — value-neutral by the
+#: warm-exactness contract either way);
 #: ``use_basis_cache=True`` extends it to the sinkhorn-hybrid tier by
 #: routing its restricted exact solve through the network simplex.
 WARM_SOLVERS = ("network-simplex", "sinkhorn-hybrid")
@@ -280,9 +280,8 @@ class SNDEngine:
         Warm-start transportation solves from cached optimal bases.
         ``"auto"`` (default) activates the basis store when the SND
         instance solves with ``"network-simplex"`` (warm bases consumed
-        natively, provably value-preserving) or with ``"auto"`` (the
-        basis-aware selection policy then routes exact mid/large
-        instances holding a cached basis to the network simplex, so
+        natively, provably value-preserving) or with ``"auto"`` (which
+        runs the network simplex below the hybrid threshold, so
         temporally-local engine workloads warm-start without any
         opt-in). ``True`` additionally opts the
         ``"sinkhorn-hybrid"`` tier in (its restricted exact solve is then
@@ -499,9 +498,9 @@ class SNDEngine:
         Activation is solver-gated (see ``use_basis_cache``): warm hints
         are only consumed by :data:`WARM_SOLVERS`, and under ``"auto"``
         only by warm-exact routes — the pure network simplex and the
-        ``"auto"`` solver, whose basis-aware selection policy
-        (:func:`repro.flow.select_transport_method`) steers instances with
-        a cached basis onto the network simplex.
+        ``"auto"`` solver, whose selection policy
+        (:func:`repro.flow.select_transport_method`) runs the network
+        simplex below the hybrid threshold.
         """
         mode = self.use_basis_cache
         if mode is False:

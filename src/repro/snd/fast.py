@@ -15,22 +15,23 @@ Per EMD* term the pipeline is:
    edge costs, so batch sweeps hand in a
    :class:`~repro.snd.cache.DijkstraRowCache` to reuse rows of unchanged
    sources across terms and transitions.
-3. **Solve the reduced problem**: ``solver="auto"`` (via
-   :func:`repro.flow.select_transport_method`) picks per instance between
-   the hub-expanded sparse min-cost flow (vectorised SSP kernel; arc count
-   ``O(n∆² + n∆·Nc + Nc·N_b)``), the dense MODI simplex, and the HiGHS LP
-   on the bank-folded dense form — all exact, chosen purely for speed.
-   Reduced instances beyond :data:`repro.flow.AUTO_HYBRID_CELLS` cells
-   route to the approximate ``"sinkhorn-hybrid"`` tier (entropic screen +
-   sparse exact solve, certified per-solve error bound; see
-   :mod:`repro.flow.sinkhorn_hybrid`).
+3. **Solve the reduced problem**: either as the hub-expanded sparse
+   min-cost flow (``"ssp"`` / ``"cost-scaling"``; arc count
+   ``O(n∆² + n∆·Nc + Nc·N_b)``) or as one bank-folded dense
+   transportation instance (``"network-simplex"``, ``"lp"``) — all exact,
+   chosen purely for speed. ``solver="auto"`` (via
+   :func:`repro.flow.select_transport_method`) runs network simplex on the
+   folded form; reduced instances beyond
+   :data:`repro.flow.AUTO_HYBRID_CELLS` cells route to the approximate
+   ``"sinkhorn-hybrid"`` tier (entropic screen + sparse exact solve,
+   certified per-solve error bound; see :mod:`repro.flow.sinkhorn_hybrid`).
 
 Under ``bank_metric="nearest"`` the result *exactly* equals the direct
 (unreduced) EMD* — the extended ground distance is a semimetric, so the
 Lemma 2 cancellation is lossless (property-tested against
 :mod:`repro.snd.direct`). Under ``"cluster"`` the extended distance can
 violate the triangle inequality across clusters and the reduction is exact
-only up to that defect (see DESIGN.md).
+only up to that defect (see docs/design.md §1).
 """
 
 from __future__ import annotations
@@ -41,7 +42,12 @@ import numpy as np
 
 from repro.emd.reduction import reduced_problem_profile
 from repro.exceptions import ValidationError
-from repro.flow import select_transport_method, solve_mcf_cost_scaling, solve_mcf_ssp
+from repro.flow import (
+    AUTO_HYBRID_CELLS,
+    select_transport_method,
+    solve_mcf_cost_scaling,
+    solve_mcf_ssp,
+)
 from repro.flow.basis import TransportBasis
 from repro.flow.network_simplex import last_network_simplex_info
 from repro.flow.problem import MinCostFlowProblem
@@ -67,7 +73,6 @@ SOLVER_CHOICES = (
     "ssp",
     "cost-scaling",
     "lp",
-    "simplex",
     "network-simplex",
     "sinkhorn-hybrid",
 )
@@ -226,11 +231,11 @@ def emd_star_term_fast(
     max_cost:
         Assumption-2 bound ``U`` (sizes the unreachable-distance clamp).
     solver:
-        ``"ssp"`` (default), ``"cost-scaling"``, ``"lp"``, ``"simplex"``,
-        ``"sinkhorn-hybrid"`` (approximate, certified error bound), or
-        ``"auto"`` (per-instance size-based selection; routes reduced
-        instances above :data:`repro.flow.AUTO_HYBRID_CELLS` cells to the
-        hybrid tier).
+        ``"ssp"`` (default), ``"cost-scaling"``, ``"lp"``,
+        ``"network-simplex"``, ``"sinkhorn-hybrid"`` (approximate,
+        certified error bound), or ``"auto"`` (network simplex; routes
+        reduced instances above :data:`repro.flow.AUTO_HYBRID_CELLS`
+        cells to the hybrid tier).
     hybrid_cells:
         Overrides the ``"auto"`` escalation threshold (reduced-instance
         cell count at which the hybrid tier takes over): a positive
@@ -378,21 +383,11 @@ def emd_star_term_fast(
     else:
         folded_rows, folded_cols = sup_ids.size + n_bank_bins, con_ids.size
     if solver == "auto":
-        # Basis-aware selection: when the caller threads a basis cache and
-        # key, a previous optimal basis may be available for this instance
-        # (temporal-locality workloads — sliding windows, corpus appends),
-        # so auto routes the exact mid/large region to the warm-startable
-        # network simplex instead of ssp/lp.
-        warm = basis_cache is not None and basis_key is not None
-        if hybrid_cells == "auto":
-            solver = select_transport_method(
-                folded_rows, folded_cols, warm_basis=warm
-            )
-        else:
-            solver = select_transport_method(
-                folded_rows, folded_cols, hybrid_cells=hybrid_cells,
-                warm_basis=warm,
-            )
+        solver = select_transport_method(
+            folded_rows,
+            folded_cols,
+            hybrid_cells=AUTO_HYBRID_CELLS if hybrid_cells == "auto" else hybrid_cells,
+        )
     if stats is not None:
         profile = reduced_problem_profile(
             sup_amounts, con_amounts, d_sc, unreachable=unreach
@@ -405,7 +400,7 @@ def emd_star_term_fast(
         stats.n_arcs = 0
         stats.density = profile["density"]
 
-    if solver in ("lp", "simplex", "network-simplex", "sinkhorn-hybrid"):
+    if solver in ("lp", "network-simplex", "sinkhorn-hybrid"):
         # Dense bank-folded transportation problem — the fast choice for
         # large n∆ where per-augmentation overhead dominates the MCF path.
         # "sinkhorn-hybrid" rides the same folding and trades a certified
@@ -553,9 +548,8 @@ def _solve_reduced_dense(
     Bank bins are appended as extra consumers (or suppliers); the hub
     decomposition is folded back into per-pair costs ``leg + γ``. The
     instance is handed to :func:`repro.flow.solve_transportation` with
-    *method* (``"lp"`` — HiGHS —, ``"simplex"`` — MODI —,
-    ``"network-simplex"`` — warm-startable —, or ``"sinkhorn-hybrid"`` —
-    approximate screened solve).
+    *method* (``"lp"`` — HiGHS —, ``"network-simplex"`` — warm-startable
+    —, or ``"sinkhorn-hybrid"`` — approximate screened solve).
 
     When a *basis_cache*/*basis_key* pair is supplied and the method can
     carry a basis, the instance's axes are labelled with stable ids

@@ -78,7 +78,7 @@ def unreachable_cost(n_nodes: int, max_cost: int) -> float:
 
     Any finite path costs at most ``U * (n - 1)``, so ``U * n`` is strictly
     larger than every reachable distance while keeping the clamped matrix a
-    semimetric (see DESIGN.md).
+    semimetric (see docs/design.md §1).
     """
     return float(max_cost) * max(n_nodes, 1)
 

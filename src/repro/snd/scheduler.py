@@ -208,8 +208,11 @@ class PairScheduler:
         fingerprint-ordered pair (in-flight from another thread, or a
         duplicate earlier in the same batch).
     ``solved``
-        Fresh solves actually dispatched.  With a shared transition
+        Fresh solves that returned a value.  With a shared transition
         cache, N concurrent requests for one pair contribute exactly 1.
+    ``failed``
+        Fresh solves whose engine batch raised (counted here, never in
+        ``solved``).
     ``batches``
         Chunk submissions (serial runs count one batch per slice).
     ``rejected``
@@ -250,6 +253,7 @@ class PairScheduler:
         self.cache_answered = 0
         self.coalesced = 0
         self.solved = 0
+        self.failed = 0
         self.batches = 0
         self.rejected = 0
         self.client_rejected = 0
@@ -474,7 +478,6 @@ class PairScheduler:
         call_jobs = (
             engine.jobs if jobs is None else min(engine.jobs, resolve_jobs(jobs))
         )
-        self.solved += len(pairs)
         if call_jobs <= 1 or len(pairs) <= 1:
             self.batches += 1
             return engine._solve_pairs_local(states, pairs)
@@ -502,6 +505,10 @@ class PairScheduler:
             for (key, (i, j)), value in zip(owned, values):
                 transitions.put(states[i], states[j], value)
         with self._room:
+            if error is None:
+                self.solved += len(owned)
+            else:
+                self.failed += len(owned)
             record = None if client is None else self._client_entry(client)
             for slot, (key, _pair) in enumerate(owned):
                 entry = self._inflight.pop(key)
@@ -540,6 +547,7 @@ class PairScheduler:
             "cache_answered": self.cache_answered,
             "coalesced": self.coalesced,
             "solved": self.solved,
+            "failed": self.failed,
             "batches": self.batches,
             "rejected": self.rejected,
             "client_rejected": self.client_rejected,

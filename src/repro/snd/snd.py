@@ -84,12 +84,11 @@ class SND:
         Heap for the python engine: ``"binary"``, ``"radix"``, ``"pairing"``.
     solver:
         Reduced-problem solver: ``"ssp"`` (default), ``"cost-scaling"``,
-        ``"lp"``, ``"simplex"``, ``"network-simplex"`` (warm-startable
+        ``"lp"``, ``"network-simplex"`` (warm-startable
         sparse simplex; the engine threads cached bases through it on
         temporally local workloads), ``"sinkhorn-hybrid"`` (approximate,
-        with a certified per-solve error bound), or ``"auto"``
-        (per-instance size-based selection; large reduced instances route
-        to the hybrid tier).
+        with a certified per-solve error bound), or ``"auto"`` (network
+        simplex; large reduced instances route to the hybrid tier).
     hybrid_cells:
         ``solver="auto"`` escalation threshold: reduced instances with at
         least this many cost-matrix cells route to the approximate hybrid

@@ -17,8 +17,6 @@ import pytest
 from repro.exceptions import FlowError, ValidationError
 from repro.flow import (
     AUTO_HYBRID_CELLS,
-    AUTO_SIMPLEX_CELLS,
-    AUTO_SSP_CELLS,
     TransportationProblem,
     select_transport_method,
     solve_transportation,
@@ -314,7 +312,7 @@ class TestDiagnostics:
 
 
 # --------------------------------------------------------------------- #
-# method="auto" threshold boundaries (parameterized, both sides of each)
+# method="auto" threshold boundary (parameterized, both sides)
 # --------------------------------------------------------------------- #
 
 
@@ -330,11 +328,7 @@ class TestAutoSelectionBoundaries:
     @pytest.mark.parametrize(
         "cells,expected",
         [
-            (AUTO_SIMPLEX_CELLS, "simplex"),      # at the cutoff: small tier
-            (AUTO_SIMPLEX_CELLS + 1, "ssp"),      # one past: next tier
-            (AUTO_SSP_CELLS, "ssp"),
-            (AUTO_SSP_CELLS + 1, "lp"),
-            (AUTO_HYBRID_CELLS, "lp"),            # exact up to the threshold
+            (AUTO_HYBRID_CELLS, "network-simplex"),  # exact up to the threshold
             (AUTO_HYBRID_CELLS + 1, "sinkhorn-hybrid"),
         ],
     )
@@ -345,13 +339,13 @@ class TestAutoSelectionBoundaries:
 
     def test_hybrid_cells_none_keeps_auto_exact(self):
         n, m = _shape_with_cells(AUTO_HYBRID_CELLS + 1)
-        assert select_transport_method(n, m, hybrid_cells=None) == "lp"
+        assert select_transport_method(n, m, hybrid_cells=None) == "network-simplex"
         huge = select_transport_method(10_000, 10_000, hybrid_cells=None)
-        assert huge == "lp"
+        assert huge == "network-simplex"
 
     def test_hybrid_cells_override_moves_threshold(self):
         assert select_transport_method(80, 80, hybrid_cells=6_000) == "sinkhorn-hybrid"
-        assert select_transport_method(80, 80, hybrid_cells=6_400) == "lp"
+        assert select_transport_method(80, 80, hybrid_cells=6_400) == "network-simplex"
 
     def test_hybrid_threshold_above_small_exact_floor(self):
         """auto never routes an instance to the hybrid that the hybrid
@@ -359,8 +353,9 @@ class TestAutoSelectionBoundaries:
         assert AUTO_HYBRID_CELLS > SMALL_EXACT_CELLS
 
     def test_degenerate_shapes(self):
-        assert select_transport_method(0, 10) == "simplex"
-        assert select_transport_method(1, 1) == "simplex"
+        assert select_transport_method(0, 10) == "network-simplex"
+        assert select_transport_method(1, 1) == "network-simplex"
+        assert select_transport_method(1, 8) == "network-simplex"
 
     def test_solve_transportation_dispatches_hybrid(self, rng):
         problem = random_balanced(rng, 10, 10)
@@ -371,3 +366,11 @@ class TestAutoSelectionBoundaries:
     def test_unknown_method_rejected(self, rng):
         with pytest.raises(ValidationError, match="sinkhorn-hybrid"):
             solve_transportation(random_balanced(rng, 3, 3), method="sinkhorn")
+
+    def test_removed_simplex_method_rejected(self, rng, small_er_graph):
+        from repro.snd import SND
+
+        with pytest.raises(ValidationError, match="network-simplex"):
+            solve_transportation(random_balanced(rng, 3, 3), method="simplex")
+        with pytest.raises(ValidationError, match="network-simplex"):
+            SND(small_er_graph, n_clusters=2, seed=0, solver="simplex")

@@ -7,7 +7,6 @@ costs) — are solved by every exact solver in the library:
 
 * ``solve_transportation_ssp`` under all three Dijkstra kernels
   (``heap`` / ``vector`` / ``argmin``),
-* ``solve_transportation_simplex`` (MODI),
 * ``solve_transportation_network_simplex`` (warm-startable sparse
   simplex — solved cold *and* re-solved warm from its own optimal basis,
   asserting the warm result is bitwise identical on fully integral
@@ -47,7 +46,6 @@ from repro.flow import (
     solve_transportation,
     solve_transportation_lp,
     solve_transportation_network_simplex,
-    solve_transportation_simplex,
     solve_transportation_ssp,
 )
 from repro.flow.sinkhorn_hybrid import (
@@ -250,7 +248,6 @@ def check_transportation_instance(problem: TransportationProblem) -> None:
     plans = {}
     for kernel in SSP_KERNELS:
         plans[f"ssp-{kernel}"] = solve_transportation_ssp(problem, kernel=kernel)
-    plans["simplex"] = solve_transportation_simplex(problem)
     plans["lp"] = solve_transportation_lp(problem)
     plans["auto"] = solve_transportation(problem, method="auto")
     ns_cold, ns_basis = solve_transportation_network_simplex(
@@ -400,7 +397,7 @@ class TestEquivalenceMatrix:
             f"ssp-{kernel}": solve_transportation_ssp(problem, kernel=kernel)
             for kernel in SSP_KERNELS
         }
-        plans["simplex"] = solve_transportation_simplex(problem)
+        plans["network-simplex"] = solve_transportation_network_simplex(problem)
         plans["lp"] = solve_transportation_lp(problem)
         reference = plans["lp"].cost
         scale = max(1.0, abs(reference))

@@ -14,7 +14,7 @@ from repro.flow import (
     solve_mcf_ssp,
     solve_transportation,
     solve_transportation_lp,
-    solve_transportation_simplex,
+    solve_transportation_network_simplex,
     solve_transportation_ssp,
 )
 
@@ -55,7 +55,7 @@ class TestProblemModel:
             TransportationProblem(np.array([1.0]), np.array([1.0]), np.eye(2))
 
 
-@pytest.mark.parametrize("method", ["ssp", "simplex", "lp"])
+@pytest.mark.parametrize("method", ["ssp", "network-simplex", "lp"])
 class TestTransportationSolvers:
     def test_known_optimum(self, method):
         # Optimal: 2 units 0->0 (cost 2), 1 unit 0->1 (4), 2 units 1->1 (4).
@@ -99,12 +99,12 @@ class TestSolverAgreement:
         costs = rng.integers(0, 15, (n, m)).astype(float)
         p = TransportationProblem(supplies, demands, costs)
         ssp = solve_transportation_ssp(p)
-        simplex = solve_transportation_simplex(p)
+        ns = solve_transportation_network_simplex(p)
         lp = solve_transportation_lp(p)
         assert ssp.cost == pytest.approx(lp.cost, abs=1e-6)
-        assert simplex.cost == pytest.approx(lp.cost, abs=1e-6)
+        assert ns.cost == pytest.approx(lp.cost, abs=1e-6)
         ssp.validate(p)
-        simplex.validate(p)
+        ns.validate(p)
         lp.validate(p)
 
     @settings(max_examples=40, deadline=None)

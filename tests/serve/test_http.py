@@ -3,6 +3,7 @@ counter-asserted duplicate-burst coalescing guarantee over real sockets."""
 
 import json
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -15,7 +16,7 @@ import pytest
 from repro.cli import main
 from repro.exceptions import SchedulerSaturatedError
 from repro.serve import EngineConfig, SNDService
-from repro.serve.http import BackgroundServer
+from repro.serve.http import MAX_BODY_BYTES, BackgroundServer
 
 
 @pytest.fixture(scope="module")
@@ -77,6 +78,28 @@ def _post(server, path, payload, timeout=60, method="POST"):
             return resp.status, json.loads(resp.read().decode("utf-8"))
     except urllib.error.HTTPError as exc:
         return exc.code, json.loads(exc.read().decode("utf-8"))
+
+
+def _raw_exchange(server, extra_head: str, body: bytes, timeout=30):
+    """POST /v1/distance over a bare socket with a hand-written head;
+    returns (status, JSON body, Connection header)."""
+    head = (
+        "POST /v1/distance HTTP/1.1\r\n"
+        f"Host: {server.host}\r\n"
+        f"{extra_head}\r\n"
+    )
+    with socket.create_connection((server.host, server.port), timeout=timeout) as sock:
+        sock.sendall(head.encode("ascii") + body)
+        data = b""
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            data += chunk
+    raw_head, _, payload = data.partition(b"\r\n\r\n")
+    lines = raw_head.decode("latin-1").split("\r\n")
+    headers = dict(line.split(": ", 1) for line in lines[1:])
+    return int(lines[0].split()[1]), json.loads(payload), headers.get("Connection")
 
 
 class TestRoutes:
@@ -221,6 +244,28 @@ class TestErrorMapping:
         status, body = _post(server, "/v1/distance", {"name": "t", "i": 0, "j": 99})
         assert status == 400
         assert "out of range" in body["error"]["message"]
+
+    @pytest.mark.parametrize("length", ["abc", "-5", "1.5", "+7", "1_0"])
+    def test_bad_content_length_400(self, server, length):
+        status, body, connection = _raw_exchange(
+            server, f"Content-Length: {length}\r\n", b"{}"
+        )
+        assert status == 400
+        assert body["error"]["code"] == "bad_request"
+        assert "Content-Length" in body["error"]["message"]
+        assert connection == "close"
+
+    def test_oversized_body_413_without_reading_it(self, server):
+        # Only the head is sent: the server must answer from the declared
+        # length alone instead of waiting for MAX_BODY_BYTES + 1 bytes.
+        status, body, connection = _raw_exchange(
+            server, f"Content-Length: {MAX_BODY_BYTES + 1}\r\n", b""
+        )
+        assert status == 413
+        assert body["error"]["code"] == "payload_too_large"
+        assert connection == "close"
+        # The server keeps serving other connections.
+        assert _get(server, "/v1/healthz")[0] == 200
 
     def test_unsupported_method_405(self, server):
         status, body = _post(server, "/v1/distance", {}, method="PUT")

@@ -106,7 +106,7 @@ class TestInstruments:
 class TestStatsBridge:
     def test_bare_engine_stats_accepted(self):
         stats = {
-            "scheduler": {"requested": 5, "solved": 2, "pending": 0,
+            "scheduler": {"requested": 5, "solved": 2, "failed": 1, "pending": 0,
                           "clients": {"a": {"requested": 3, "pending": 1}}},
             "caches": {"transitions": {"hits": 1, "misses": 2, "size": 3},
                        "total_nbytes": 64},
@@ -116,6 +116,7 @@ class TestStatsBridge:
             render_samples(samples_from_stats(stats))
         )
         assert values['snd_scheduler_requested_total{graph="default"}'] == 5
+        assert values['snd_scheduler_failed_total{graph="default"}'] == 1
         assert values['snd_client_requested_total{client="a",graph="default"}'] == 3
         assert values['snd_client_pending{client="a",graph="default"}'] == 1
         assert values['snd_cache_hits_total{cache="transitions",graph="default"}'] == 1

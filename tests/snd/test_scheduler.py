@@ -296,6 +296,26 @@ class TestStats:
             assert stats["coalesced"] == 1
             assert engine.stats()["scheduler"] == stats
 
+    def test_failed_batch_counts_as_failed_not_solved(self, graph):
+        states = distinct_states(30, 4)
+        pairs = [(0, 1), (1, 2), (2, 3)]
+        with fresh_engine(graph) as engine:
+            sched = engine.scheduler
+            sched.evaluate(states, [(0, 2)], client="alice")
+            before = sched.stats()
+
+            def boom(sts, batch):
+                raise RuntimeError("solver exploded")
+
+            engine._solve_pairs_local = boom
+            with pytest.raises(RuntimeError):
+                sched.evaluate(states, pairs, client="alice")
+            stats = sched.stats()
+            assert stats["solved"] == before["solved"] == 1
+            assert stats["failed"] == len(pairs)
+            assert stats["clients"]["alice"]["solved"] == 1
+            assert stats["pending"] == 0
+
 
 def hybrid_engine(graph, **kwargs) -> SNDEngine:
     return SNDEngine(

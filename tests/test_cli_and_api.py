@@ -90,6 +90,15 @@ class TestCli:
             args = parser.parse_args(["distance", "--measure", measure])
             assert args.measure == measure
 
+    @pytest.mark.parametrize("command", ["distance", "serve", "watch"])
+    def test_removed_simplex_solver_rejected(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([command, "--solver", "simplex"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'simplex'" in err
+        assert "network-simplex" in err
+
     def test_distance_matrix_command(self, tmp_path):
         store_path = str(tmp_path / "exp.sqlite")
         main(
