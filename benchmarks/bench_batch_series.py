@@ -1,15 +1,11 @@
-"""Batch-series engine benchmark — seed loop vs cached vs vectorised/auto.
+"""Batch-series engine benchmark — seed loop vs cached vs auto.
 
 Times the same 20-state series sweep (the CLI ``generate`` defaults:
-n = 2000 power-law graph, 100 seed users) through six evaluators:
+n = 2000 power-law graph, 100 seed users) through five evaluators:
 
 * ``seed_loop`` — the pre-batch-engine path: one ``SND.distance`` call per
   adjacent pair, rebuilding ``4·(T-1)`` ground-cost arrays;
-* ``cached_heap`` — ``SND.evaluate_series`` serial with the SSP solver
-  pinned to the PR-1 heap Dijkstra kernel: the **PR-1 baseline** the
-  vectorised kernel is measured against;
-* ``cached`` — ``SND.evaluate_series`` serial with the default vectorised
-  SSP kernel (heap-free CSR Dijkstra);
+* ``cached`` — ``SND.evaluate_series`` serial with the default SSP solver;
 * ``cached_auto`` — the cached engine with ``solver="auto"``: every
   reduced instance below the hybrid threshold runs the network simplex
   (see :func:`repro.flow.select_transport_method`);
@@ -31,7 +27,6 @@ from __future__ import annotations
 import json
 import os
 import time
-from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -47,10 +42,6 @@ JSON_PATH = Path(__file__).parent / "BENCH_batch_series.json"
 N_NODES = 2000
 N_STATES = 20
 N_SEEDS = 100
-
-#: The acceptance bar: the vectorised-ssp / auto cached sweep must beat the
-#: PR-1 heap-kernel cached sweep by at least this factor.
-TARGET_SPEEDUP = 1.5
 
 
 def _dataset():
@@ -81,19 +72,6 @@ def _time(fn, *, repeats: int = 3):
     return best, np.asarray(value, dtype=np.float64)
 
 
-@contextmanager
-def _heap_kernel():
-    """Pin the reduced-problem SSP solves to the PR-1 heap Dijkstra kernel."""
-    import repro.snd.fast as fast_mod
-
-    orig = fast_mod.solve_mcf_ssp
-    fast_mod.solve_mcf_ssp = lambda problem: orig(problem, kernel="heap")
-    try:
-        yield
-    finally:
-        fast_mod.solve_mcf_ssp = orig
-
-
 def run_experiment(verbose: bool = True) -> dict:
     graph, series = _dataset()
     snd = _snd(graph)
@@ -104,11 +82,6 @@ def run_experiment(verbose: bool = True) -> dict:
     t_seed, v_seed = _time(
         lambda: [snd.distance(a, b) for a, b in series.transitions()]
     )
-
-    with _heap_kernel():
-        t_heap, v_heap = _time(
-            lambda: snd.evaluate_series(series, cache=GroundCostCache())
-        )
 
     def cached_run():
         cache = GroundCostCache()
@@ -139,7 +112,6 @@ def run_experiment(verbose: bool = True) -> dict:
         return float(np.max(np.abs(v - v_seed))) if v_seed.size else 0.0
 
     diffs = {
-        "cached_heap": diff(v_heap),
         "cached": diff(v_cached),
         "parallel": diff(v_parallel),
         "cached_auto": diff(v_auto),
@@ -168,21 +140,16 @@ def run_experiment(verbose: bool = True) -> dict:
         },
         "timings_ms": {
             "seed_loop": round(t_seed * 1e3, 2),
-            "cached_heap": round(t_heap * 1e3, 2),
             "cached": round(t_cached * 1e3, 2),
             "parallel": round(t_parallel * 1e3, 2),
             "cached_auto": round(t_auto * 1e3, 2),
             "window_resweep": round(t_window * 1e3, 2),
         },
-        "speedup_vs_pr1_heap_baseline": {
-            "cached": round(t_heap / t_cached, 3),
-            "cached_auto": round(t_heap / t_auto, 3),
-            "window_resweep": round(t_heap / t_window, 3),
-        },
         "speedup_vs_seed": {
             "cached": round(t_seed / t_cached, 3),
             "parallel": round(t_seed / t_parallel, 3),
             "cached_auto": round(t_seed / t_auto, 3),
+            "window_resweep": round(t_seed / t_window, 3),
         },
         "max_abs_diff_vs_seed": diffs,
         "window": {
@@ -193,50 +160,43 @@ def run_experiment(verbose: bool = True) -> dict:
     }
     JSON_PATH.write_text(json.dumps(results, indent=2) + "\n")
 
+    speedup = results["speedup_vs_seed"]
     rows = [
-        ["seed loop (vector kernel)", results["timings_ms"]["seed_loop"], "-", naive_builds],
+        ["seed loop", results["timings_ms"]["seed_loop"], 1.0, naive_builds],
         [
-            "cached + heap kernel (PR-1)",
-            results["timings_ms"]["cached_heap"],
-            1.0,
-            int(cached_run.builds),
-        ],
-        [
-            "cached (vector kernel)",
+            "cached",
             results["timings_ms"]["cached"],
-            results["speedup_vs_pr1_heap_baseline"]["cached"],
+            speedup["cached"],
             int(cached_run.builds),
         ],
         [
             "cached + solver=auto",
             results["timings_ms"]["cached_auto"],
-            results["speedup_vs_pr1_heap_baseline"]["cached_auto"],
+            speedup["cached_auto"],
             int(cached_run.builds),
         ],
         [
             f"parallel (jobs={jobs})",
             results["timings_ms"]["parallel"],
-            round(t_heap / t_parallel, 3),
+            speedup["parallel"],
             "-",
         ],
         [
             "windowed re-sweep (cached transitions)",
             results["timings_ms"]["window_resweep"],
-            results["speedup_vs_pr1_heap_baseline"]["window_resweep"],
+            speedup["window_resweep"],
             "-",
         ],
     ]
     print_table(
         f"Batch series engine on n={graph.num_nodes}, T={len(series)}",
-        ["path", "ms", "speedup vs PR-1", "cost builds"],
+        ["path", "ms", "speedup vs seed loop", "cost builds"],
         rows,
         verbose=verbose,
     )
     if verbose and (os.cpu_count() or 1) < 2:
         print("note: single-CPU host — the parallel row cannot beat serial here")
 
-    for path, speed in results["speedup_vs_pr1_heap_baseline"].items():
-        record("batch_series", "speedup_vs_pr1", speed, path=path)
     for path, speed in results["speedup_vs_seed"].items():
         record("batch_series", "speedup", speed, path=path)
     return results
@@ -247,13 +207,6 @@ def test_batch_engine_exact(benchmark):
     assert max(results["max_abs_diff_vs_seed"].values()) <= 1e-9
     bound = results["ground_cost_builds"]["bound"]
     assert results["ground_cost_builds"]["cached"] <= bound
-    best = max(
-        results["speedup_vs_pr1_heap_baseline"]["cached"],
-        results["speedup_vs_pr1_heap_baseline"]["cached_auto"],
-    )
-    assert best >= TARGET_SPEEDUP, (
-        f"vectorised/auto sweep only {best}x vs the PR-1 heap baseline"
-    )
 
 
 def test_cached_series_sweep(benchmark):

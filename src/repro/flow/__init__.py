@@ -10,8 +10,8 @@ solvers are provided:
   one that exploits temporal locality across nearly identical instances
   (sliding windows, corpus appends);
 * :func:`solve_mcf_ssp` — successive shortest paths with potentials
-  (default; exact for real-valued supplies/costs; heap-free vectorised
-  Dijkstra kernel for dense reduced problems, heap kernel for sparse ones);
+  (default; exact for real-valued supplies/costs; each augmentation is one
+  scipy Dijkstra over a reweighted CSR residual graph);
 * :func:`solve_mcf_cost_scaling` — Goldberg–Tarjan cost-scaling
   push-relabel (integer costs; the paper's CS2 role);
 * :func:`solve_transportation_lp` — :func:`scipy.optimize.linprog` reference
@@ -38,13 +38,12 @@ from repro.flow.network_simplex import solve_transportation_network_simplex
 from repro.flow.problem import MinCostFlowProblem, TransportationProblem
 from repro.flow.sinkhorn import solve_transportation_sinkhorn
 from repro.flow.sinkhorn_hybrid import solve_transportation_sinkhorn_hybrid
-from repro.flow.ssp import select_mcf_kernel, solve_mcf_ssp, solve_transportation_ssp
+from repro.flow.ssp import solve_mcf_ssp, solve_transportation_ssp
 
 __all__ = [
     "TransportationProblem",
     "MinCostFlowProblem",
     "TransportBasis",
-    "select_mcf_kernel",
     "select_transport_method",
     "solve_mcf_ssp",
     "solve_transportation_ssp",

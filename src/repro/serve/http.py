@@ -71,7 +71,7 @@ from repro.exceptions import (
 )
 from repro.serve.metrics import CONTENT_TYPE as METRICS_CONTENT_TYPE
 from repro.serve.metrics import ServeMetrics
-from repro.serve.service import SNDService
+from repro.serve.service import SNDService, logger
 
 __all__ = ["HttpServer", "BackgroundServer", "serve_forever"]
 
@@ -262,8 +262,10 @@ class HttpServer:
             await asyncio.sleep(interval)
             try:
                 await self._run(self.service.flush)
-            except Exception:  # pragma: no cover - a failed flush must
-                pass  # never take down the serving loop; retry next tick
+            except Exception:  # a failed flush must never take down the
+                # serving loop (store write failures are already logged and
+                # counted per shard); log the rest and retry next tick.
+                logger.exception("periodic transition flush failed")
 
     def _run(self, fn, *args, **kwargs):
         """Run one blocking service call on the executor."""

@@ -26,6 +26,7 @@ thread.
 
 from __future__ import annotations
 
+import logging
 import threading
 import warnings
 from typing import Iterator, Sequence
@@ -37,6 +38,8 @@ from repro.opinions.state import NetworkState
 from repro.serve.config import EngineConfig
 
 __all__ = ["SNDService", "EngineShard"]
+
+logger = logging.getLogger("repro.serve")
 
 
 class EngineShard:
@@ -68,8 +71,10 @@ class EngineShard:
         self.corpora: dict = {}
         self._engine = None
         self._lock = threading.Lock()
+        self._flush_lock = threading.Lock()
         self.transitions_loaded = 0
         self.transitions_persisted = 0
+        self.flush_failures = 0
         self._warmed = False
         # (size, fresh) snapshot at the last flush: an unchanged cache
         # skips the store round-trip entirely.
@@ -118,6 +123,11 @@ class EngineShard:
         flush — the ``(size, fresh)`` snapshot makes periodic flushing
         nearly free on an idle server).  Upsert semantics in the store
         make re-flushing overlapping snapshots idempotent.
+
+        A failed store write is logged on the ``repro.serve`` logger,
+        counted in ``flush_failures`` and returns 0; the snapshot is only
+        recorded after a successful write, so the next flush retries
+        every row.
         """
         if not self.service.config.persist_transitions:
             return 0
@@ -125,17 +135,24 @@ class EngineShard:
         if snd is None or snd._caches is None:
             return 0
         transitions = snd.caches.transitions
-        state = (len(transitions), transitions.fresh)
-        with self._lock:
+        with self._flush_lock:  # one flush at a time: counts stay exact
+            state = (len(transitions), transitions.fresh)
             if state == self._last_flush_state:
                 return 0
+            rows = transitions.export_rows()
+            written = 0
+            if rows:
+                try:
+                    with self.service._open_store() as store:
+                        written = store.save_transitions(self.graph_name, rows)
+                except Exception:
+                    logger.exception(
+                        "transition flush for graph %r failed (%d rows); "
+                        "retrying on the next flush", self.graph_name, len(rows),
+                    )
+                    self.flush_failures += 1
+                    return 0
             self._last_flush_state = state
-        rows = transitions.export_rows()
-        if not rows:
-            return 0
-        with self.service._open_store() as store:
-            written = store.save_transitions(self.graph_name, rows)
-        with self._lock:
             self.transitions_persisted += written
         return written
 
@@ -169,6 +186,7 @@ class EngineShard:
         payload["corpora"] = sorted(self.corpora)
         payload["transitions_loaded"] = self.transitions_loaded
         payload["transitions_persisted"] = self.transitions_persisted
+        payload["flush_failures"] = self.flush_failures
         return payload
 
     def close(self) -> None:

@@ -1,29 +1,20 @@
-"""Shortest-path algorithms over :class:`~repro.graph.digraph.DiGraph`.
+"""Shortest paths over :class:`~repro.graph.digraph.DiGraph`.
 
-Two engines compute identical results:
+:func:`multi_source_distances` is the one production backend: it hands all
+sources to the compiled :func:`scipy.sparse.csgraph.dijkstra` in one call.
+The ground-distance builder of :mod:`repro.snd` calls it once per term —
+one single-source run per changed user (Theorem 4).
 
-* ``"python"`` — our from-scratch Dijkstra with a pluggable heap (binary /
-  radix / pairing), the reference implementation matching the paper's §5;
-* ``"scipy"`` — vectorised :mod:`scipy.sparse.csgraph`, used for large-scale
-  benchmark runs.
-
-The ground-distance builder of :mod:`repro.snd` calls
-:func:`multi_source_distances`, which is the workhorse of the linear-time SND
-computation (one single-source run per changed user, Theorem 4).
+:func:`dijkstra` / :func:`dijkstra_multi` are a pure-Python reference
+(stdlib :mod:`heapq`) that the tests compare the scipy backend against.
+The paper states Theorem 4's bound for a radix/Fibonacci heap; this
+deviation is recorded in ``docs/design.md`` §6.
 """
 
-from repro.shortestpath.bellman_ford import bellman_ford
 from repro.shortestpath.dijkstra import (
     dijkstra,
     dijkstra_multi,
     multi_source_distances,
 )
-from repro.shortestpath.johnson import johnson_all_pairs
 
-__all__ = [
-    "dijkstra",
-    "dijkstra_multi",
-    "multi_source_distances",
-    "bellman_ford",
-    "johnson_all_pairs",
-]
+__all__ = ["dijkstra", "dijkstra_multi", "multi_source_distances"]

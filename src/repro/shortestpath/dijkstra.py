@@ -1,4 +1,4 @@
-"""Dijkstra's algorithm with pluggable heaps and a scipy fast path.
+"""Dijkstra: scipy's compiled backend plus a pure-Python reference.
 
 All functions accept ``weights`` overriding the graph's stored per-edge
 weights (aligned with the CSR edge order); the SND ground-distance builder
@@ -8,11 +8,13 @@ copying the graph.
 
 from __future__ import annotations
 
+import heapq
+
 import numpy as np
+from scipy.sparse.csgraph import dijkstra as sp_dijkstra
 
 from repro.exceptions import ValidationError
 from repro.graph.digraph import DiGraph
-from repro.heaps import make_heap
 from repro.utils.validation import check_nonnegative
 
 __all__ = ["dijkstra", "dijkstra_multi", "multi_source_distances"]
@@ -35,21 +37,12 @@ def dijkstra(
     source: int,
     *,
     weights: np.ndarray | None = None,
-    heap: str = "binary",
-    max_cost: float | None = None,
     targets: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Single-source shortest-path distances from *source*.
+    """Single-source shortest-path distances from *source* (reference).
 
     Parameters
     ----------
-    heap:
-        ``"binary"`` (default), ``"radix"`` (integer weights only), or
-        ``"pairing"``.
-    max_cost:
-        Required for the radix heap: an upper bound on any finite distance
-        (e.g. ``U * (n - 1)`` under Assumption 2). Inferred from the weights
-        when omitted.
     targets:
         Optional node set; the search stops once all targets are settled
         (distances to other nodes are still valid where computed).
@@ -58,9 +51,7 @@ def dijkstra(
     -------
     Array of length ``n`` with ``np.inf`` for unreachable nodes.
     """
-    return dijkstra_multi(
-        graph, [source], weights=weights, heap=heap, max_cost=max_cost, targets=targets
-    )
+    return dijkstra_multi(graph, [source], weights=weights, targets=targets)
 
 
 def dijkstra_multi(
@@ -68,14 +59,13 @@ def dijkstra_multi(
     sources,
     *,
     weights: np.ndarray | None = None,
-    heap: str = "binary",
-    max_cost: float | None = None,
     targets: np.ndarray | None = None,
 ) -> np.ndarray:
     """Multi-source Dijkstra: distance from the *nearest* source to each node.
 
-    Multi-source runs are what the ICC ground distance needs (distance from
-    the active set) and what cluster-distance computations use.
+    The pure-Python reference the scipy backend is tested against: a
+    :mod:`heapq` priority queue with lazy deletion (stale entries are
+    skipped by the ``settled`` check instead of being decreased in place).
     """
     n = graph.num_nodes
     w = _edge_weights(graph, weights)
@@ -85,29 +75,18 @@ def dijkstra_multi(
     if sources.min() < 0 or sources.max() >= n:
         raise ValidationError("source nodes out of range")
 
-    if heap == "radix":
-        if not np.allclose(w, np.round(w)):
-            raise ValidationError("radix heap requires integer edge weights")
-        if max_cost is None:
-            max_edge = float(w.max()) if w.size else 0.0
-            max_cost = max_edge * max(n - 1, 1)
-        pq = make_heap("radix", capacity=n, max_key=int(max_cost) + 1)
-    else:
-        pq = make_heap(heap, capacity=n)
-
     dist = np.full(n, np.inf)
     settled = np.zeros(n, dtype=bool)
-    for s in sources:
-        dist[s] = 0.0
-        pq.push(int(s), 0.0)
+    dist[sources] = 0.0
+    pq = [(0.0, int(s)) for s in np.unique(sources)]
 
     remaining_targets: set[int] | None = None
     if targets is not None:
         remaining_targets = {int(t) for t in np.atleast_1d(targets)}
 
     indptr, indices = graph.indptr, graph.indices
-    while len(pq):
-        u, du = pq.pop()
+    while pq:
+        du, u = heapq.heappop(pq)
         if settled[u]:
             continue
         settled[u] = True
@@ -123,7 +102,7 @@ def dijkstra_multi(
             alt = du + w[k]
             if alt < dist[v]:
                 dist[v] = alt
-                pq.push(v, alt)
+                heapq.heappush(pq, (alt, v))
     return dist
 
 
@@ -132,39 +111,32 @@ def multi_source_distances(
     sources,
     *,
     weights: np.ndarray | None = None,
-    engine: str = "scipy",
-    heap: str = "binary",
     reverse: bool = False,
 ) -> np.ndarray:
     """Distances from *each* source to all nodes: an ``(k, n)`` matrix.
 
     This is the bulk operation of the fast SND pipeline: one row per changed
-    user. With ``reverse=True``, distances are measured *into* the sources
+    user, all dispatched to :func:`scipy.sparse.csgraph.dijkstra` in one
+    call. With ``reverse=True``, distances are measured *into* the sources
     (i.e. along reversed edges), which Theorem 4 uses when the lighter side
     of the transportation problem supplies the Dijkstra sources.
-
-    ``engine="scipy"`` dispatches all sources to
-    :func:`scipy.sparse.csgraph.dijkstra` in one call; ``engine="python"``
-    loops our reference implementation.
     """
     sources = np.atleast_1d(np.asarray(sources, dtype=np.int64))
-    work_graph = graph.reverse() if reverse else graph
-    if reverse and weights is not None:
+    if sources.size == 0:
+        return np.empty((0, graph.num_nodes))
+    work_graph, w = _oriented(graph, weights, reverse)
+    matrix = work_graph.to_scipy_csr(_edge_weights(work_graph, w))
+    return np.atleast_2d(sp_dijkstra(matrix, directed=True, indices=sources))
+
+
+def _oriented(
+    graph: DiGraph, weights: np.ndarray | None, reverse: bool
+) -> tuple[DiGraph, np.ndarray | None]:
+    """*graph* (or its reverse) with *weights* aligned to that CSR order."""
+    if not reverse:
+        return graph, weights
+    if weights is not None:
         # Re-align the override weights with the reversed CSR ordering.
         graph._ensure_reverse()  # noqa: SLF001 - intentional internal access
         weights = np.asarray(weights, dtype=np.float64)[graph._rev_edge_ids]  # noqa: SLF001
-
-    if engine == "scipy":
-        from scipy.sparse.csgraph import dijkstra as sp_dijkstra
-
-        if sources.size == 0:
-            return np.empty((0, graph.num_nodes))
-        w = _edge_weights(work_graph, weights)
-        matrix = work_graph.to_scipy_csr(w)
-        return np.atleast_2d(sp_dijkstra(matrix, directed=True, indices=sources))
-    if engine == "python":
-        rows = [
-            dijkstra(work_graph, int(s), weights=weights, heap=heap) for s in sources
-        ]
-        return np.vstack(rows) if rows else np.empty((0, graph.num_nodes))
-    raise ValidationError(f"unknown engine {engine!r}; expected 'scipy' or 'python'")
+    return graph.reverse(), weights

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import sys
 import threading
+import weakref
 from collections import OrderedDict
 
 import numpy as np
@@ -109,11 +110,24 @@ class _LruCache:
         self.maxsize = int(maxsize)
         self._entries: OrderedDict = OrderedDict()
         self._lock = threading.Lock()
-        self._manager: "CacheManager | None" = None
+        self._manager_ref: "weakref.ref[CacheManager] | None" = None
         self._nbytes = 0
         self.hits = 0
         self.misses = 0
         self.evictions = 0
+
+    @property
+    def _manager(self) -> "CacheManager | None":
+        """The owning manager, held weakly: a manager owns its caches, so a
+        strong back-reference would be a cycle that keeps a dropped
+        manager (and every entry it holds) alive until the cyclic GC
+        runs. ``None`` once the owner is gone."""
+        ref = self._manager_ref
+        return None if ref is None else ref()
+
+    @_manager.setter
+    def _manager(self, manager: "CacheManager | None") -> None:
+        self._manager_ref = None if manager is None else weakref.ref(manager)
 
     def _get(self, key):
         """Entry for *key* (counting a hit) or ``None`` (counting a miss)."""
@@ -135,8 +149,9 @@ class _LruCache:
             self._nbytes += _value_nbytes(value)
             while len(self._entries) > self.maxsize:
                 self._evict_oldest_locked()
-        if self._manager is not None:
-            self._manager._rebalance()
+        manager = self._manager
+        if manager is not None:
+            manager._rebalance()
 
     def _evict_oldest_locked(self) -> int:
         _, value = self._entries.popitem(last=False)
@@ -191,7 +206,7 @@ class _LruCache:
         del state["_lock"]  # locks cannot cross pickle; workers re-create
         state["_entries"] = OrderedDict()  # entries don't travel: workers
         state["_nbytes"] = 0  # rebuild their own; shipping arrays defeats the point
-        state["_manager"] = None
+        state["_manager_ref"] = None
         return state
 
     def __setstate__(self, state):
@@ -266,8 +281,6 @@ class DijkstraRowCache(_LruCache):
         edge_costs: np.ndarray,
         *,
         reverse: bool,
-        engine: str,
-        heap: str,
         cost_key,
     ) -> np.ndarray:
         """``multi_source_distances`` with per-source row memoisation."""
@@ -288,8 +301,6 @@ class DijkstraRowCache(_LruCache):
                 graph,
                 sources[missing],
                 weights=edge_costs,
-                engine=engine,
-                heap=heap,
                 reverse=reverse,
             )
             for k, i in enumerate(missing):
@@ -513,7 +524,8 @@ class CacheManager:
         for cache in self._members():
             # Adopt unowned caches only: a cache already reporting to a
             # budgeted manager keeps doing so when a transient wrapper
-            # manager borrows it for one call.
+            # manager borrows it for one call. A cache whose owner has
+            # been dropped counts as unowned.
             if cache._manager is None:
                 cache._manager = self
 

@@ -39,6 +39,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra as sp_dijkstra
 
 from repro.emd.reduction import reduced_problem_profile
 from repro.exceptions import ValidationError
@@ -53,7 +55,7 @@ from repro.flow.network_simplex import last_network_simplex_info
 from repro.flow.problem import MinCostFlowProblem
 from repro.flow.sinkhorn_hybrid import last_hybrid_info
 from repro.graph.digraph import DiGraph
-from repro.shortestpath.dijkstra import dijkstra_multi, multi_source_distances
+from repro.shortestpath.dijkstra import _oriented, multi_source_distances
 from repro.snd.banks import BankAllocation
 from repro.snd.ground import unreachable_cost
 
@@ -108,27 +110,11 @@ def _min_distance_from_set(
     edge_costs: np.ndarray,
     *,
     reverse: bool,
-    engine: str,
 ) -> np.ndarray:
     """``min_{s in members} dist(s -> v)`` for every node v (or ``v -> s``
     when *reverse*). One Dijkstra pass regardless of ``len(members)``."""
-    if engine == "python":
-        work = graph.reverse() if reverse else graph
-        w = edge_costs
-        if reverse:
-            graph._ensure_reverse()  # noqa: SLF001 - align costs with reversed CSR
-            w = np.asarray(edge_costs)[graph._rev_edge_ids]  # noqa: SLF001
-        return dijkstra_multi(work, members, weights=w)
-
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import dijkstra as sp_dijkstra
-
     n = graph.num_nodes
-    work = graph.reverse() if reverse else graph
-    w = edge_costs
-    if reverse:
-        graph._ensure_reverse()  # noqa: SLF001
-        w = np.asarray(edge_costs)[graph._rev_edge_ids]  # noqa: SLF001
+    work, w = _oriented(graph, edge_costs, reverse)
 
     # Virtual super-source n with unit edges into the member set; the +1
     # offset avoids scipy's explicit-zero ambiguity and is subtracted back.
@@ -146,8 +132,6 @@ def _distance_rows(
     edge_costs: np.ndarray,
     *,
     reverse: bool,
-    engine: str,
-    heap: str,
     row_cache=None,
     cost_key=None,
 ) -> np.ndarray:
@@ -158,12 +142,10 @@ def _distance_rows(
     """
     if row_cache is None or cost_key is None:
         return multi_source_distances(
-            graph, sources, weights=edge_costs, engine=engine, heap=heap,
-            reverse=reverse,
+            graph, sources, weights=edge_costs, reverse=reverse
         )
     return row_cache.distance_rows(
-        graph, sources, edge_costs, reverse=reverse, engine=engine, heap=heap,
-        cost_key=cost_key,
+        graph, sources, edge_costs, reverse=reverse, cost_key=cost_key
     )
 
 
@@ -205,8 +187,6 @@ def emd_star_term_fast(
     banks: BankAllocation,
     *,
     max_cost: int,
-    engine: str = "scipy",
-    heap: str = "binary",
     solver: str = "ssp",
     hybrid_cells: "int | str | None" = "auto",
     bank_metric: str = "nearest",
@@ -311,14 +291,14 @@ def emd_star_term_fast(
     rows = np.empty((0, n))
     if run_forward and sup_ids.size:
         rows = _distance_rows(
-            graph, sup_ids, edge_costs, reverse=False, engine=engine, heap=heap,
+            graph, sup_ids, edge_costs, reverse=False,
             row_cache=row_cache, cost_key=cost_key,
         )
         d_sc = rows[:, con_ids] if con_ids.size else np.empty((sup_ids.size, 0))
         n_sssp = sup_ids.size
     elif not run_forward and con_ids.size:
         rows = _distance_rows(
-            graph, con_ids, edge_costs, reverse=True, engine=engine, heap=heap,
+            graph, con_ids, edge_costs, reverse=True,
             row_cache=row_cache, cost_key=cost_key,
         )
         d_sc = rows[:, sup_ids].T if sup_ids.size else np.empty((0, con_ids.size))
@@ -361,7 +341,6 @@ def emd_star_term_fast(
                     cluster_arrays[a],
                     edge_costs,
                     reverse=not banks_on_demand_side,
-                    engine=engine,
                 )
                 per_cluster = np.array(
                     [float(np.min(dist[c])) for c in cluster_arrays]

@@ -99,7 +99,8 @@ class GroundDistanceConfig:
         for the non-stubborn default of 0.
     max_cost:
         Assumption-2 bound ``U``; set ``quantize=False`` to skip integer
-        quantization (disables the radix-heap fast path).
+        quantization (integral costs keep every path sum exact, so cached
+        and fresh Dijkstra rows agree bit for bit).
     """
 
     model: OpinionModel

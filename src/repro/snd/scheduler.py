@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import os
 import threading
+import weakref
 from typing import Sequence
 
 import numpy as np
@@ -174,7 +175,10 @@ class PairScheduler:
     engine:
         The :class:`~repro.snd.engine.SNDEngine` whose pool (or serial
         per-pair path) executes admitted work.  The engine creates its own
-        scheduler; every evaluation entry point routes through it.
+        scheduler; every evaluation entry point routes through it.  The
+        scheduler holds it weakly, so dropping the last reference to an
+        engine frees its pool and shared-memory segment at once instead
+        of when the cyclic GC runs.
     max_pending:
         Bound on unique pairs admitted (queued or solving) at once — the
         backpressure knob.
@@ -238,7 +242,7 @@ class PairScheduler:
             raise ValidationError(
                 f"client_max_pending must be >= 1, got {client_max_pending}"
             )
-        self.engine = engine
+        self._engine_ref = weakref.ref(engine)
         self.max_pending = int(max_pending)
         self.client_max_pending = (
             None if client_max_pending is None else int(client_max_pending)
@@ -258,6 +262,14 @@ class PairScheduler:
         self.rejected = 0
         self.client_rejected = 0
         self.peak_pending = 0
+
+    @property
+    def engine(self):
+        """The engine this scheduler feeds (held weakly)."""
+        engine = self._engine_ref()
+        if engine is None:
+            raise ValidationError("the scheduler's engine has been dropped")
+        return engine
 
     def _client_entry(self, client: str) -> dict[str, int]:
         """Per-client counter record, created on first sight (lock held)."""

@@ -78,10 +78,6 @@ class SND:
         Optional ``-log P`` / ``-log Pin`` terms of Eq. 2.
     max_cost:
         Assumption-2 integer bound ``U``.
-    engine:
-        Shortest-path engine: ``"scipy"`` (default) or ``"python"``.
-    heap:
-        Heap for the python engine: ``"binary"``, ``"radix"``, ``"pairing"``.
     solver:
         Reduced-problem solver: ``"ssp"`` (default), ``"cost-scaling"``,
         ``"lp"``, ``"network-simplex"`` (warm-startable
@@ -123,8 +119,6 @@ class SND:
         adoption_penalties: np.ndarray | None = None,
         max_cost: int = DEFAULT_MAX_COST,
         quantize: bool = True,
-        engine: str = "scipy",
-        heap: str = "binary",
         solver: str = "ssp",
         hybrid_cells: "int | str | None" = "auto",
         bank_metric: str = "nearest",
@@ -151,8 +145,6 @@ class SND:
             max_cost=max_cost,
             quantize=quantize,
         )
-        if engine not in ("scipy", "python"):
-            raise ValidationError(f"unknown engine {engine!r}")
         if solver not in SOLVER_CHOICES:
             raise ValidationError(
                 f"unknown solver {solver!r}; expected one of {sorted(SOLVER_CHOICES)}"
@@ -164,8 +156,6 @@ class SND:
                     f"'auto', got {hybrid_cells!r}"
                 )
             hybrid_cells = int(hybrid_cells)
-        self.engine = engine
-        self.heap = heap
         self.solver = solver
         self.hybrid_cells = hybrid_cells
         self.bank_metric = bank_metric
@@ -220,8 +210,6 @@ class SND:
             edge_costs,
             self.banks,
             max_cost=self.ground.max_cost,
-            engine=self.engine,
-            heap=self.heap,
             solver=self.solver,
             hybrid_cells=self.hybrid_cells,
             bank_metric=self.bank_metric,
@@ -293,8 +281,7 @@ class SND:
         """A persistent :class:`~repro.snd.engine.SNDEngine` over this
         instance, sharing its cache hierarchy (see
         :mod:`repro.snd.engine`). The caller owns its lifetime — use it as
-        a context manager or call ``close()``. (Named ``create_engine``
-        because :attr:`engine` is the shortest-path engine knob.)
+        a context manager or call ``close()``.
         """
         from repro.snd.engine import SNDEngine
 
@@ -384,5 +371,5 @@ class SND:
         return (
             f"SND(n={self.graph.num_nodes}, model={self.model.name}, "
             f"clusters={self.banks.n_clusters}, banks={self.banks.n_banks}, "
-            f"engine={self.engine}, solver={self.solver})"
+            f"solver={self.solver})"
         )

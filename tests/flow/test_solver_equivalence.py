@@ -5,8 +5,7 @@ parametrized over size, density (fraction of cheaply-connected pairs),
 integer vs float costs, and degenerate supplies (zero bins, tie-heavy
 costs) — are solved by every exact solver in the library:
 
-* ``solve_transportation_ssp`` under all three Dijkstra kernels
-  (``heap`` / ``vector`` / ``argmin``),
+* ``solve_transportation_ssp`` (successive shortest paths),
 * ``solve_transportation_network_simplex`` (warm-startable sparse
   simplex — solved cold *and* re-solved warm from its own optimal basis,
   asserting the warm result is bitwise identical on fully integral
@@ -57,8 +56,6 @@ from repro.flow.sinkhorn_hybrid import (
 AGREE_TOL = 1e-9
 #: Slack for invariant checks on plans returned by the float LP solver.
 FEAS_TOL = 1e-6
-
-SSP_KERNELS = ("heap", "vector", "argmin")
 
 #: The hybrid tier table: ``(epsilon, support_k) -> relative-error
 #: budget``. Budgets were calibrated on randomized 70x70..120x80 instances
@@ -245,9 +242,7 @@ def assert_mcf_solution_optimal(mcf: MinCostFlowProblem, flows, *, label: str) -
 
 def check_transportation_instance(problem: TransportationProblem) -> None:
     """Solve with every applicable solver; assert agreement + invariants."""
-    plans = {}
-    for kernel in SSP_KERNELS:
-        plans[f"ssp-{kernel}"] = solve_transportation_ssp(problem, kernel=kernel)
+    plans = {"ssp": solve_transportation_ssp(problem)}
     plans["lp"] = solve_transportation_lp(problem)
     plans["auto"] = solve_transportation(problem, method="auto")
     ns_cold, ns_basis = solve_transportation_network_simplex(
@@ -293,10 +288,8 @@ def check_transportation_instance(problem: TransportationProblem) -> None:
 
 
 def check_mcf_instance(mcf_factory) -> None:
-    """Solve a (re-buildable) MCF instance with every kernel + solver."""
-    solutions = {}
-    for kernel in SSP_KERNELS:
-        solutions[f"ssp-{kernel}"] = (mcf := mcf_factory(), solve_mcf_ssp(mcf, kernel=kernel))
+    """Solve a (re-buildable) MCF instance with every MCF solver."""
+    solutions = {"ssp": (mcf := mcf_factory(), solve_mcf_ssp(mcf))}
     probe = mcf_factory()
     _, _, caps, costs = probe.arrays()
     integral = bool(
@@ -307,11 +300,11 @@ def check_mcf_instance(mcf_factory) -> None:
     if integral:
         solutions["cost-scaling"] = (mcf := mcf_factory(), solve_mcf_cost_scaling(mcf))
 
-    reference = solutions["ssp-heap"][1].cost
+    reference = solutions["ssp"][1].cost
     scale = max(1.0, abs(reference))
     for name, (mcf, solution) in solutions.items():
         assert solution.cost == pytest.approx(reference, abs=AGREE_TOL * scale), (
-            f"{name} disagrees with ssp-heap: {solution.cost} vs {reference}"
+            f"{name} disagrees with ssp: {solution.cost} vs {reference}"
         )
         assert_mcf_solution_optimal(mcf, solution.flows, label=name)
 
@@ -345,17 +338,6 @@ class TestEquivalenceSmoke:
     def test_all_zero_mass(self):
         problem = TransportationProblem(np.zeros(3), np.zeros(2), np.ones((3, 2)))
         check_transportation_instance(problem)
-
-    def test_auto_kernel_policy(self, monkeypatch):
-        import repro.flow.ssp as ssp_mod
-        from repro.flow import select_mcf_kernel
-
-        # With scipy importable the vector kernel wins on every measured
-        # shape; without it the heap loop is kept.
-        assert select_mcf_kernel(50, 100) == "vector"
-        assert select_mcf_kernel(100_000, 200_000) == "vector"
-        monkeypatch.setattr(ssp_mod, "_sp_dijkstra", None)
-        assert select_mcf_kernel(50, 100) == "heap"
 
 
 # --------------------------------------------------------------------- #
@@ -393,10 +375,7 @@ class TestEquivalenceMatrix:
         demands = rng.integers(0, 12, m).astype(np.float64)
         costs = rng.integers(0, 20, (n, m)).astype(np.float64)
         problem = TransportationProblem(supplies, demands, costs)
-        plans = {
-            f"ssp-{kernel}": solve_transportation_ssp(problem, kernel=kernel)
-            for kernel in SSP_KERNELS
-        }
+        plans = {"ssp": solve_transportation_ssp(problem)}
         plans["network-simplex"] = solve_transportation_network_simplex(problem)
         plans["lp"] = solve_transportation_lp(problem)
         reference = plans["lp"].cost

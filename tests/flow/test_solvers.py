@@ -167,6 +167,11 @@ class TestMinCostFlow:
         sol = solve_mcf_ssp(mcf)
         assert sol.cost == pytest.approx(6.0)
 
+    def test_no_kernel_knob(self):
+        """One Dijkstra backend (scipy): the old ``kernel=`` knob is gone."""
+        with pytest.raises(TypeError):
+            solve_mcf_ssp(MinCostFlowProblem(2), kernel="heap")
+
     def test_capacity_forces_split(self):
         # The cheap route is capped at 2 units, forcing 2 more onto the
         # expensive one: cost = 2 * (1 + 1) + 2 * (5 + 5).

@@ -3,7 +3,9 @@ and the kill-and-restart replay guarantee (solved == 0 on the second
 run), counter-asserted end to end."""
 
 import json
+import logging
 import signal
+import sqlite3
 import subprocess
 import sys
 import urllib.request
@@ -84,6 +86,73 @@ class TestServiceRoundTrip:
             shard = service.shard("t")
             shard.ensure_snd()
             assert shard.stats()["transitions_loaded"] == 0
+
+    def test_failed_flush_is_retried_logged_and_counted(
+        self, store_path, monkeypatch, caplog
+    ):
+        """A store write that raises once must not mark the cache clean:
+        the next flush writes every row, and the failure is logged and
+        exported as a counter."""
+        from repro.serve.metrics import samples_from_stats
+
+        real_save = ExperimentStore.save_transitions
+        failures = []
+
+        def save_failing_once(self, graph_name, rows):
+            if not failures:
+                failures.append(len(rows))
+                raise sqlite3.OperationalError("disk I/O error")
+            return real_save(self, graph_name, rows)
+
+        monkeypatch.setattr(ExperimentStore, "save_transitions", save_failing_once)
+        with SNDService(store_path, config=CONFIG) as service:
+            _replay(service)
+            with caplog.at_level(logging.ERROR, logger="repro.serve"):
+                assert service.flush() == 0
+            assert failures
+            assert any("flush" in r.getMessage() for r in caplog.records)
+            n_cached = len(service.shard("t").ensure_snd().caches.transitions)
+            # Nothing new was solved since the failed write, yet the
+            # retry writes every row.
+            assert service.flush() == n_cached
+            stats = service.stats()
+            shard = stats["shards"]["t"]
+            assert shard["flush_failures"] == 1
+            assert shard["transitions_persisted"] == n_cached
+            samples = {s.name: s.value for s in samples_from_stats(stats)}
+            assert samples["snd_persistence_flush_failures_total"] == 1
+        with ExperimentStore(store_path) as store:
+            assert store.count_transitions("t") == n_cached
+
+    def test_concurrent_flushes_write_each_snapshot_once(self, store_path):
+        """Flushes racing from many threads (the periodic task against
+        ``close()``) write a dirty snapshot once and count it once."""
+        import threading
+
+        with SNDService(store_path, config=CONFIG) as service:
+            _replay(service)
+            n_cached = len(service.shard("t").ensure_snd().caches.transitions)
+            written = []
+            start = threading.Barrier(8)
+
+            def flush():
+                start.wait(timeout=30)
+                written.append(service.flush())
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                threads = [threading.Thread(target=flush) for _ in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+            assert sorted(written) == [0] * 7 + [n_cached]
+            shard = service.stats()["shards"]["t"]
+            assert shard["transitions_persisted"] == n_cached
 
     def test_spilled_rows_survive_in_store(self, store_path):
         with SNDService(store_path, config=CONFIG) as service:

@@ -1,4 +1,5 @@
-"""Dijkstra correctness: hand cases, networkx oracle, engine/heap agreement."""
+"""Dijkstra correctness: hand cases, networkx oracle, and the scipy backend
+(:func:`multi_source_distances`) against the pure-Python reference."""
 
 import numpy as np
 import pytest
@@ -6,7 +7,6 @@ import pytest
 from repro.exceptions import ValidationError
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import erdos_renyi_graph
-from repro.heaps import HEAP_KINDS
 from repro.shortestpath.dijkstra import dijkstra, dijkstra_multi, multi_source_distances
 
 
@@ -53,22 +53,6 @@ class TestMultiSource:
         assert np.all(np.isinf(dist))
 
 
-@pytest.mark.parametrize("heap", HEAP_KINDS)
-class TestHeapVariants:
-    def test_all_heaps_agree(self, heap, rng):
-        g = erdos_renyi_graph(40, 0.15, seed=2, directed=True)
-        w = np.maximum(1, np.round(rng.uniform(1, 9, g.num_edges)))
-        base = dijkstra(g, 0, weights=w, heap="binary")
-        assert np.allclose(dijkstra(g, 0, weights=w, heap=heap), base)
-
-    def test_radix_requires_integers(self, heap):
-        if heap != "radix":
-            pytest.skip("radix-specific")
-        g = DiGraph(2, [(0, 1)], weights=[1.5])
-        with pytest.raises(ValidationError):
-            dijkstra(g, 0, heap="radix")
-
-
 class TestNetworkxOracle:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_random_weighted_digraphs(self, seed):
@@ -84,24 +68,57 @@ class TestNetworkxOracle:
             assert ours[v] == pytest.approx(expected)
 
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_multi_source_distances(self, seed, reverse):
+        """The production backend, forward and reversed, under a
+        ``weights=`` override that differs from the stored weights."""
+        nx = pytest.importorskip("networkx")
+        rng = np.random.default_rng(seed)
+        g = erdos_renyi_graph(35, 0.12, seed=seed, directed=True)
+        g = g.with_weights(rng.integers(1, 20, g.num_edges).astype(np.float64))
+        w = rng.integers(1, 20, g.num_edges).astype(np.float64)
+        sources = np.array([0, 4, 11])
+        rows = multi_source_distances(g, sources, weights=w, reverse=reverse)
+        nxg = nx.DiGraph()
+        nxg.add_nodes_from(range(g.num_nodes))
+        for (u, v), weight in zip(g.edge_array(), w):
+            if reverse:
+                u, v = v, u
+            nxg.add_edge(int(u), int(v), weight=float(weight))
+        for row, s in zip(rows, sources):
+            theirs = nx.single_source_dijkstra_path_length(nxg, int(s))
+            for v in range(g.num_nodes):
+                assert row[v] == pytest.approx(theirs.get(v, np.inf))
+
+
 class TestEngines:
+    """The scipy backend against the pure-Python reference."""
+
     @pytest.mark.parametrize("reverse", [False, True])
     def test_scipy_and_python_agree(self, rng, reverse):
         g = erdos_renyi_graph(30, 0.15, seed=5, directed=True)
         w = rng.integers(1, 9, g.num_edges).astype(np.float64)
         sources = np.array([0, 3, 7])
-        a = multi_source_distances(g, sources, weights=w, engine="scipy", reverse=reverse)
-        b = multi_source_distances(g, sources, weights=w, engine="python", reverse=reverse)
+        a = multi_source_distances(g, sources, weights=w, reverse=reverse)
+        work = g.with_weights(w)
+        if reverse:
+            work = work.reverse()
+        b = np.vstack([dijkstra(work, int(s)) for s in sources])
         assert a.shape == (3, 30)
-        assert np.allclose(a, b)
+        assert np.array_equal(a, b)
 
     def test_reverse_semantics(self, line_graph):
-        rows = multi_source_distances(line_graph, [3], engine="python", reverse=True)
+        rows = multi_source_distances(line_graph, [3], reverse=True)
         assert rows[0].tolist() == [3, 2, 1, 0]
 
     def test_unknown_engine(self, line_graph):
-        with pytest.raises(ValidationError):
-            multi_source_distances(line_graph, [0], engine="matlab")
+        """scipy is the only backend: the old ``engine=``/``heap=`` knobs
+        are gone rather than silently ignored."""
+        with pytest.raises(TypeError):
+            multi_source_distances(line_graph, [0], engine="python")
+        with pytest.raises(TypeError):
+            dijkstra(line_graph, 0, heap="radix")
 
     def test_empty_sources_matrix(self, line_graph):
         rows = multi_source_distances(line_graph, np.array([], dtype=np.int64))

@@ -38,6 +38,41 @@ class TestCacheManager:
         # Adopted caches report into the manager.
         assert ground._manager is manager
 
+    def test_dropped_manager_frees_caches_without_cyclic_gc(self, graph, snd):
+        """Caches hold their manager weakly: with the cyclic GC off,
+        ``del manager`` frees the manager and every member cache."""
+        import gc
+        import weakref
+
+        gc.collect()
+        gc.disable()
+        try:
+            manager = CacheManager()
+            fill_ground(manager, snd, graph, 2)
+            refs = [weakref.ref(manager)] + [
+                weakref.ref(cache) for cache in manager._members()
+            ]
+            del manager
+            assert all(ref() is None for ref in refs)
+        finally:
+            gc.enable()
+
+    def test_adopts_cache_whose_owner_died(self):
+        ground = GroundCostCache(8)
+        owner = CacheManager(ground=ground, memory_budget=10_000)
+        # A live owner keeps the cache when another manager borrows it...
+        borrower = CacheManager(ground=ground)
+        assert ground._manager is owner
+        del borrower
+        # ...but once the owner is gone the cache is unowned again.
+        del owner
+        import gc
+
+        gc.collect()
+        assert ground._manager is None
+        adopter = CacheManager(ground=ground)
+        assert ground._manager is adopter
+
     def test_stats_surface(self, graph, snd):
         manager = CacheManager()
         state = NetworkState.from_active_sets(40, positive=[0])

@@ -432,6 +432,43 @@ class TestCloseIdempotent:
         engine.close()
         engine.__del__()
 
+    def test_dropped_engine_frees_pool_without_cyclic_gc(self, graph, rng):
+        """No reference cycle keeps a dropped engine alive: with the cyclic
+        GC off, ``del`` alone shuts the pool down and unlinks the
+        shared-memory segment."""
+        import gc
+        import weakref
+        from multiprocessing import shared_memory
+
+        series = random_series(40, 4, rng)
+        snd = fresh_snd(graph)
+        gc.collect()
+        gc.disable()
+        try:
+            engine = SNDEngine(snd, jobs=2)
+            engine.evaluate_series(series)
+            shm_name = None if engine._shm is None else engine._shm.name
+            scheduler = weakref.ref(engine.scheduler)
+            dropped = weakref.ref(engine)
+            del engine
+            assert dropped() is None
+            assert scheduler() is None
+        finally:
+            gc.enable()
+        if shm_name is not None:
+            with pytest.raises(FileNotFoundError):
+                shared_memory.SharedMemory(name=shm_name)
+
+    def test_scheduler_outliving_its_engine_raises(self, graph):
+        engine = SNDEngine(fresh_snd(graph), jobs=None)
+        scheduler = engine.scheduler
+        del engine
+        import gc
+
+        gc.collect()
+        with pytest.raises(ValidationError):
+            scheduler.evaluate(distinct_states(40, 2), [(0, 1)])
+
     def test_del_on_partially_constructed_engine(self, graph):
         # __del__ after a failed __init__ sees missing attributes.
         engine = SNDEngine.__new__(SNDEngine)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.exceptions import StateError, ValidationError
+from repro.exceptions import StateError
 from repro.graph.generators import erdos_renyi_graph, star_graph, two_cluster_graph
 from repro.opinions.models.independent_cascade import IndependentCascadeModel
 from repro.opinions.models.model_agnostic import ModelAgnostic
@@ -132,13 +132,30 @@ class TestDistanceSemantics:
 
 
 class TestConfiguration:
-    def test_engines_agree(self, graph):
+    def test_engines_agree(self, graph, monkeypatch):
+        """Rows from the pure-Python reference Dijkstra give the same SND
+        as the scipy backend (integral costs: exact path sums)."""
+        import repro.snd.fast as fast_mod
+        from repro.shortestpath import dijkstra
+
         banks = allocate_banks(graph, n_clusters=3, seed=1)
         a = NetworkState.from_active_sets(30, positive=[0, 3], negative=[7])
         b = NetworkState.from_active_sets(30, positive=[1], negative=[7, 8])
-        d_scipy = SND(graph, banks=banks, engine="scipy").distance(a, b)
-        d_python = SND(graph, banks=banks, engine="python").distance(a, b)
-        assert d_scipy == pytest.approx(d_python)
+        d_scipy = SND(graph, banks=banks).distance(a, b)
+
+        calls = []
+
+        def reference_rows(g, sources, *, weights, reverse):
+            calls.append(len(sources))
+            work = g.with_weights(weights)
+            if reverse:
+                work = work.reverse()
+            return np.vstack([dijkstra(work, int(s)) for s in sources])
+
+        monkeypatch.setattr(fast_mod, "multi_source_distances", reference_rows)
+        d_python = SND(graph, banks=banks).distance(a, b)
+        assert calls
+        assert d_scipy == d_python
 
     def test_solvers_agree(self, graph):
         banks = allocate_banks(graph, n_clusters=3, seed=1)
@@ -147,16 +164,6 @@ class TestConfiguration:
         d_ssp = SND(graph, banks=banks, solver="ssp").distance(a, b)
         d_scaling = SND(graph, banks=banks, solver="cost-scaling").distance(a, b)
         assert d_ssp == pytest.approx(d_scaling, rel=1e-6)
-
-    def test_heaps_agree(self, graph):
-        banks = allocate_banks(graph, n_clusters=3, seed=1)
-        a = NetworkState.from_active_sets(30, positive=[0, 3])
-        b = NetworkState.from_active_sets(30, positive=[1])
-        values = {
-            heap: SND(graph, banks=banks, engine="python", heap=heap).distance(a, b)
-            for heap in ("binary", "radix", "pairing")
-        }
-        assert len({round(v, 9) for v in values.values()}) == 1
 
     def test_models_change_distance(self, graph):
         banks = allocate_banks(graph, n_clusters=3, seed=1)
@@ -167,8 +174,11 @@ class TestConfiguration:
         assert agnostic != pytest.approx(icc)
 
     def test_unknown_engine_rejected(self, graph):
-        with pytest.raises(ValidationError):
+        """scipy is the only shortest-path backend: no engine/heap knob."""
+        with pytest.raises(TypeError):
             SND(graph, engine="gpu")
+        with pytest.raises(TypeError):
+            SND(graph, heap="radix")
 
     def test_star_graph_works(self):
         g = star_graph(10)
